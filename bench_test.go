@@ -6,8 +6,11 @@ package torhs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -335,6 +338,84 @@ func BenchmarkTrackingScenarioBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkTrackingCheckpointed is the job plane's tracking path: a
+// 700-day streamed sweep checkpointed every window into a fresh store.
+// It reports "ckpt-bytes/op", the checkpoint volume one sweep writes.
+// Journaled saves write only each window's growth (plus geometrically
+// spaced bases), so both the volume and the time grow linearly with the
+// time axis; whole-state snapshots made both quadratic.
+func BenchmarkTrackingCheckpointed(b *testing.B) {
+	cfg := tracking.DefaultScenarioConfig(1)
+	cfg.Days = 700
+	an, err := tracking.NewAnalyzer(tracking.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var written int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ck := newSizedCheckpointer(b)
+		sc, src, err := tracking.NewScenarioSource(cfg, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		rep, err := an.AnalyzeSource(context.Background(), src, sc.Target, ck, 1, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Days != cfg.Days {
+			b.Fatalf("sweep folded %d days, want %d", rep.Days, cfg.Days)
+		}
+		b.StopTimer()
+		written += ck.bytes
+		if err := ck.set.Clear(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(written)/float64(b.N), "ckpt-bytes/op")
+}
+
+// sizedCheckpointer adapts a fresh store's checkpoint set to the
+// tracking Checkpointer and sums the size of every file it saves.
+type sizedCheckpointer struct {
+	set   *resultstore.CheckpointSet
+	dir   string
+	bytes int64
+}
+
+func newSizedCheckpointer(b *testing.B) *sizedCheckpointer {
+	b.Helper()
+	store, err := resultstore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := resultstore.Key{Experiment: "ckpt-tracking", Scenario: "bench", Params: "days=700", CodeVersion: "bench"}
+	set, err := store.Checkpoints(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &sizedCheckpointer{set: set, dir: filepath.Join(store.Dir(), "checkpoints", key.CacheKey())}
+}
+
+func (c *sizedCheckpointer) Save(_ context.Context, window int, state any) error {
+	if err := c.set.Save(window, state); err != nil {
+		return err
+	}
+	fi, err := os.Stat(filepath.Join(c.dir, fmt.Sprintf("win-%08d.ckpt", window)))
+	if err != nil {
+		return err
+	}
+	c.bytes += fi.Size()
+	return nil
+}
+
+func (c *sizedCheckpointer) Latest(_ context.Context, state any) (int, bool, error) {
+	return c.set.Latest(state)
+}
+
 // benchStudyConfig is the reduced-scale full-study configuration shared
 // by every BenchmarkFullStudy variant.
 func benchStudyConfig(seed int64, workers int) experiments.Config {
@@ -356,9 +437,9 @@ func benchStudyConfig(seed int64, workers int) experiments.Config {
 // price of crash safety on an uninterrupted run, and must stay under
 // 5%. Cadence 4 is the benchmarked setting: each snapshot costs two
 // fsyncs (temp file + directory), so at this bench's millisecond-scale
-// windows cadence 1 measures the filesystem, not the study (~35% here,
-// negligible at paper scale where windows are seconds). See
-// EXPERIMENTS.md.
+// windows cadence 1 measures the filesystem, not the study (~35% here).
+// BenchmarkTrackingCheckpointed covers cadence 1 on a long time axis.
+// See EXPERIMENTS.md "Checkpoint cost".
 //
 // Every ladder rung reports an "efficiency" metric — parallel efficiency
 // t1/(w·tw) against the workers=1 rung of the same invocation — so CI's

@@ -36,6 +36,11 @@ import (
 // store in the import graph. The context is per call — implementations
 // must not retain it — and the cancellation flush passes an
 // uncancellable context so the final snapshot always lands.
+//
+// The state handed to Save is journaled (resultstore.Incremental): its
+// CheckpointBase method yields the whole gob-encodable snapshot and its
+// CheckpointDelta method the growth since the previous successful Save.
+// Latest's target applies deltas (resultstore.DeltaApplier).
 type Checkpointer interface {
 	Save(ctx context.Context, window int, state any) error
 	Latest(ctx context.Context, state any) (window int, ok bool, err error)
@@ -220,6 +225,11 @@ type relayState struct {
 	respCount      int   // distinct responsible days
 
 	occCount, occOff, occFilled int // global occurrence-list bookkeeping
+
+	// seq is the state's index in creation order (stateTable.all);
+	// stamp is the checkpoint generation that last marked it dirty.
+	seq   int
+	stamp int
 }
 
 // stateTable maps relay IDs to their accumulating state. Simulation IDs
@@ -284,6 +294,7 @@ func (t *stateTable) alloc(id relay.ID) *relayState {
 	st := &t.arena[t.used]
 	t.used++
 	st.report.RelayID = id
+	st.seq = len(t.all)
 	st.lastRespDay = noRespDay
 	st.firstRespDay = noRespDay
 	t.all = append(t.all, st)
@@ -462,6 +473,11 @@ func (a *Analyzer) AnalyzeSource(
 		respBuf: make([]onion.Fingerprint, 0, onion.SpreadPerReplica),
 	}
 	start := 0
+	if ckpt != nil {
+		// Journal the fold: dirty stamps let each save persist only what
+		// changed since the previous one.
+		sw.gen = 1
+	}
 	if resume && ckpt != nil {
 		var snap sweepSnapshot
 		w, ok, err := ckpt.Latest(ctx, &snap)
@@ -474,6 +490,7 @@ func (a *Analyzer) AnalyzeSource(
 					snap.Docs, w, n)
 			}
 			sw.restore(&snap)
+			sw.markSaved()
 			start = snap.Docs
 		}
 	}
@@ -489,7 +506,7 @@ func (a *Analyzer) AnalyzeSource(
 			if ckpt != nil && i-1 > lastSaved {
 				// The run is already cancelled; the flush must still
 				// land, so it keeps ctx's values but not its cancel.
-				if err := ckpt.Save(context.WithoutCancel(ctx), i-1, sw.snapshot(i)); err != nil {
+				if err := ckpt.Save(context.WithoutCancel(ctx), i-1, &sweepCheckpoint{sw: &sw, docs: i}); err != nil {
 					return nil, fmt.Errorf("tracking: window %d: cancel flush: %w", i-1, err)
 				}
 			}
@@ -509,9 +526,10 @@ func (a *Analyzer) AnalyzeSource(
 		// snapshotted — the report follows immediately and the caller
 		// clears the set on success.
 		if ckpt != nil && i < n-1 && (i+1)%every == 0 {
-			if err := ckpt.Save(ctx, i, sw.snapshot(i+1)); err != nil {
+			if err := ckpt.Save(ctx, i, &sweepCheckpoint{sw: &sw, docs: i + 1}); err != nil {
 				return nil, fmt.Errorf("tracking: window %d: checkpoint: %w", i, err)
 			}
+			sw.markSaved()
 			lastSaved = i
 		}
 	}
@@ -689,9 +707,9 @@ func mergeRelayState(dst, src *relayState) {
 		// The relay's first sighting was in src's range: adopt it
 		// wholesale. Slice fields transfer ownership — shard sweeps are
 		// discarded after the merge.
-		id := dst.report.RelayID
+		id, seq := dst.report.RelayID, dst.seq
 		*dst = *src
-		dst.report.RelayID = id
+		dst.report.RelayID, dst.seq = id, seq
 		return
 	}
 
@@ -800,7 +818,49 @@ type sweep struct {
 	// the report's From/To — captured during the fold so the wrap-up
 	// never needs the (possibly already recycled) documents themselves.
 	firstVA, lastVA time.Time
+
+	// The checkpoint journal. gen is the current dirty generation (0
+	// while the sweep is not checkpointed, which keeps touch a no-op);
+	// dirty lists the states first mutated in this generation; the
+	// saved counts are the prefixes of states.all and occs the last
+	// successful save covered.
+	gen                    int
+	dirty                  []*relayState
+	savedStates, savedOccs int
 }
+
+// touch records that st changed since the last checkpoint save. The
+// per-state stamp makes it O(1) and allocation-free once dirty's
+// backing array has grown to the per-window working set.
+func (sw *sweep) touch(st *relayState) {
+	if st.stamp != sw.gen {
+		st.stamp = sw.gen
+		sw.dirty = append(sw.dirty, st)
+	}
+}
+
+// markSaved advances the save mark to the current fold. Callers invoke
+// it only after a save succeeded, so a retried save re-encodes the same
+// delta.
+func (sw *sweep) markSaved() {
+	sw.savedStates = len(sw.states.all)
+	sw.savedOccs = len(sw.occs)
+	sw.dirty = sw.dirty[:0]
+	sw.gen++
+}
+
+// sweepCheckpoint is the value a checkpointed sweep hands to Save after
+// docs folded documents. It satisfies resultstore.Incremental
+// structurally: the store asks for either the whole sweep (a base) or
+// its growth since the last successful save (a delta).
+type sweepCheckpoint struct {
+	sw   *sweep
+	docs int
+}
+
+func (c *sweepCheckpoint) CheckpointBase() any { return c.sw.snapshot(c.docs) }
+
+func (c *sweepCheckpoint) CheckpointDelta() any { return c.sw.delta(c.docs) }
 
 // sweepSnapshot is the serializable form of a sweep after Docs folded
 // documents: relay states in creation order (occurrence owners become
@@ -838,36 +898,57 @@ type relaySnap struct {
 	OccCount     int
 }
 
+// snap serializes the state.
+func (st *relayState) snap() relaySnap {
+	return relaySnap{
+		Report:       st.report,
+		Seen:         st.seen,
+		LastFP:       st.lastFP,
+		FPs:          st.fps,
+		Nick0:        st.nick0,
+		IP0:          st.ip0,
+		ExtraNicks:   st.extraNicks,
+		ExtraIPs:     st.extraIPs,
+		SwitchAts:    st.switchAts,
+		FirstFP:      st.firstFP,
+		FirstSeenAt:  st.firstSeenAt,
+		FirstRespDay: st.firstRespDay,
+		InitRun:      st.initRun,
+		LastRespDay:  st.lastRespDay,
+		CurRun:       st.curRun,
+		MaxRun:       st.maxRun,
+		RespCount:    st.respCount,
+		OccCount:     st.occCount,
+	}
+}
+
+// load restores the state from its serialized form.
+func (st *relayState) load(ss *relaySnap) {
+	st.report = ss.Report
+	st.seen = ss.Seen
+	st.lastFP = ss.LastFP
+	st.fps = ss.FPs
+	st.nick0 = ss.Nick0
+	st.ip0 = ss.IP0
+	st.extraNicks = ss.ExtraNicks
+	st.extraIPs = ss.ExtraIPs
+	st.switchAts = ss.SwitchAts
+	st.firstFP = ss.FirstFP
+	st.firstSeenAt = ss.FirstSeenAt
+	st.firstRespDay = ss.FirstRespDay
+	st.initRun = ss.InitRun
+	st.lastRespDay = ss.LastRespDay
+	st.curRun = ss.CurRun
+	st.maxRun = ss.MaxRun
+	st.respCount = ss.RespCount
+	st.occCount = ss.OccCount
+}
+
 // snapshot captures the sweep after docs folded documents.
 func (sw *sweep) snapshot(docs int) *sweepSnapshot {
-	idx := make(map[*relayState]int, len(sw.states.all))
 	states := make([]relaySnap, len(sw.states.all))
 	for i, st := range sw.states.all {
-		idx[st] = i
-		states[i] = relaySnap{
-			Report:       st.report,
-			Seen:         st.seen,
-			LastFP:       st.lastFP,
-			FPs:          st.fps,
-			Nick0:        st.nick0,
-			IP0:          st.ip0,
-			ExtraNicks:   st.extraNicks,
-			ExtraIPs:     st.extraIPs,
-			SwitchAts:    st.switchAts,
-			FirstFP:      st.firstFP,
-			FirstSeenAt:  st.firstSeenAt,
-			FirstRespDay: st.firstRespDay,
-			InitRun:      st.initRun,
-			LastRespDay:  st.lastRespDay,
-			CurRun:       st.curRun,
-			MaxRun:       st.maxRun,
-			RespCount:    st.respCount,
-			OccCount:     st.occCount,
-		}
-	}
-	owners := make([]int, len(sw.occStates))
-	for i, st := range sw.occStates {
-		owners[i] = idx[st]
+		states[i] = st.snap()
 	}
 	return &sweepSnapshot{
 		Docs:        docs,
@@ -875,9 +956,103 @@ func (sw *sweep) snapshot(docs int) *sweepSnapshot {
 		FirstVA:     sw.firstVA,
 		LastVA:      sw.lastVA,
 		Occs:        sw.occs,
-		OccOwners:   owners,
+		OccOwners:   occOwners(sw.occStates),
 		States:      states,
 	}
+}
+
+// occOwners maps occurrence owners to their creation-order indexes.
+func occOwners(owners []*relayState) []int {
+	idx := make([]int, len(owners))
+	for i, st := range owners {
+		idx[i] = st.seq
+	}
+	return idx
+}
+
+// sweepDelta is a sweep's growth since its last successful save after
+// Docs folded documents: the states created since then (the tail of the
+// creation order from FromState), the earlier states mutated since then,
+// the occurrences appended since then (from FromOcc), and the scalars.
+// The From fields name the prefix the delta extends, so applying it to
+// any other snapshot fails instead of silently misaligning.
+type sweepDelta struct {
+	Docs            int
+	TotalHSDirs     int
+	FirstVA, LastVA time.Time
+	FromState       int
+	States          []relaySnap
+	Changed         []changedRelay
+	FromOcc         int
+	Occs            []Occurrence
+	OccOwners       []int
+}
+
+// changedRelay is the new serialized form of an existing state.
+type changedRelay struct {
+	Index int
+	State relaySnap
+}
+
+// delta captures what the sweep grew since its save mark.
+func (sw *sweep) delta(docs int) *sweepDelta {
+	fresh := sw.states.all[sw.savedStates:]
+	d := &sweepDelta{
+		Docs:        docs,
+		TotalHSDirs: sw.totalHSDirs,
+		FirstVA:     sw.firstVA,
+		LastVA:      sw.lastVA,
+		FromState:   sw.savedStates,
+		States:      make([]relaySnap, len(fresh)),
+		FromOcc:     sw.savedOccs,
+		Occs:        sw.occs[sw.savedOccs:],
+		OccOwners:   occOwners(sw.occStates[sw.savedOccs:]),
+	}
+	for i, st := range fresh {
+		d.States[i] = st.snap()
+	}
+	for _, st := range sw.dirty {
+		if st.seq < sw.savedStates {
+			d.Changed = append(d.Changed, changedRelay{Index: st.seq, State: st.snap()})
+		}
+	}
+	return d
+}
+
+// ApplyCheckpointDelta folds one sweepDelta into the snapshot — the
+// load half of the checkpoint journal (resultstore.DeltaApplier). The
+// delta is validated in full before anything changes.
+func (s *sweepSnapshot) ApplyCheckpointDelta(decode func(any) error) error {
+	var d sweepDelta
+	if err := decode(&d); err != nil {
+		return err
+	}
+	if d.FromState != len(s.States) || d.FromOcc != len(s.Occs) || d.Docs <= s.Docs {
+		return fmt.Errorf("tracking: delta extends %d states, %d occurrences, %d documents; snapshot has %d, %d, %d",
+			d.FromState, d.FromOcc, d.Docs, len(s.States), len(s.Occs), s.Docs)
+	}
+	for _, c := range d.Changed {
+		if c.Index < 0 || c.Index >= d.FromState {
+			return fmt.Errorf("tracking: delta changes state %d of %d", c.Index, d.FromState)
+		}
+	}
+	states := d.FromState + len(d.States)
+	if len(d.OccOwners) != len(d.Occs) {
+		return fmt.Errorf("tracking: delta has %d occurrences but %d owners", len(d.Occs), len(d.OccOwners))
+	}
+	for _, o := range d.OccOwners {
+		if o < 0 || o >= states {
+			return fmt.Errorf("tracking: delta occurrence owner %d of %d states", o, states)
+		}
+	}
+	s.Docs, s.TotalHSDirs, s.FirstVA, s.LastVA = d.Docs, d.TotalHSDirs, d.FirstVA, d.LastVA
+	s.States = append(s.States, d.States...)
+	for _, c := range d.Changed {
+		s.States[c.Index] = c.State
+	}
+	s.Occs = append(s.Occs, d.Occs...)
+	s.OccOwners = append(s.OccOwners, d.OccOwners...)
+	return nil
 }
 
 // restore rebuilds the sweep from a snapshot. States are recreated in
@@ -889,25 +1064,7 @@ func (sw *sweep) restore(snap *sweepSnapshot) {
 	sw.lastVA = snap.LastVA
 	for i := range snap.States {
 		ss := &snap.States[i]
-		st := sw.states.get(ss.Report.RelayID)
-		st.report = ss.Report
-		st.seen = ss.Seen
-		st.lastFP = ss.LastFP
-		st.fps = ss.FPs
-		st.nick0 = ss.Nick0
-		st.ip0 = ss.IP0
-		st.extraNicks = ss.ExtraNicks
-		st.extraIPs = ss.ExtraIPs
-		st.switchAts = ss.SwitchAts
-		st.firstFP = ss.FirstFP
-		st.firstSeenAt = ss.FirstSeenAt
-		st.firstRespDay = ss.FirstRespDay
-		st.initRun = ss.InitRun
-		st.lastRespDay = ss.LastRespDay
-		st.curRun = ss.CurRun
-		st.maxRun = ss.MaxRun
-		st.respCount = ss.RespCount
-		st.occCount = ss.OccCount
+		sw.states.get(ss.Report.RelayID).load(ss)
 	}
 	sw.occs = snap.Occs
 	sw.occStates = make([]*relayState, len(snap.OccOwners))
@@ -967,12 +1124,23 @@ func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 			st.report.Switches++
 			st.switchAts = append(st.switchAts, doc.ValidAfter)
 			st.lastFP = e.Fingerprint
+			sw.touch(st)
 		}
+		// The overflow sets change only when they grow; a relay that
+		// alternates between known nicknames or IPs stays clean.
 		if e.Nickname != st.nick0 {
+			n := len(st.extraNicks)
 			st.extraNicks = appendStrAbsent(st.extraNicks, e.Nickname)
+			if len(st.extraNicks) != n {
+				sw.touch(st)
+			}
 		}
 		if e.IP != st.ip0 {
+			n := len(st.extraIPs)
 			st.extraIPs = appendStrAbsent(st.extraIPs, e.IP)
+			if len(st.extraIPs) != n {
+				sw.touch(st)
+			}
 		}
 	}
 
@@ -1009,6 +1177,7 @@ func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 				st.report.FreshFlagResponsible++
 			}
 			st.markResponsible(day)
+			sw.touch(st)
 		}
 	}
 }

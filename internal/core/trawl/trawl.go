@@ -353,6 +353,9 @@ func (t *Trawler) Run(
 		lastSaved = step
 		return nil
 	}
+	// The per-step networks publish and drive one after another, so
+	// they share one set of window buffers for the whole run.
+	scratch := new(simnet.WindowScratch)
 	for step := startStep; step < t.cfg.Steps; step++ {
 		if cerr := ctx.Err(); cerr != nil {
 			if err := flush(step - 1); err != nil {
@@ -379,6 +382,7 @@ func (t *Trawler) Run(
 		cfg.Workers = t.cfg.Workers
 		cfg.SecretTable = t.cfg.SecretTable
 		cfg.CompactLogs = t.cfg.CompactLogs
+		cfg.Scratch = scratch
 		net, err := simnet.NewNetwork(doc, db, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("trawl: step %d: %w", step, err)

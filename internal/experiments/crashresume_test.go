@@ -135,25 +135,57 @@ func runChild(t *testing.T, dir, selector string, workers int, faultSpec string,
 
 // crashCell is one site of the matrix: the experiments that can reach
 // it and the hit index to kill at (late enough that real work — and for
-// window sites, at least one checkpoint — precedes the crash).
+// window sites, at least one checkpoint — precedes the crash). A
+// pastRebase cell must kill a tracking delta write after the checkpoint
+// chain rebased at least once; the matrix verifies the on-disk chain.
 type crashCell struct {
-	site fault.Site
-	sel  string
-	at   int
+	site       fault.Site
+	sel        string
+	at         int
+	pastRebase bool
+}
+
+// checkChainPastRebase requires the crashed child's checkpoint set to
+// hold two bases (a rebase happened) and deltas above the newer one.
+func checkChainPastRebase(t *testing.T, name, dir string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "store", "checkpoints", "*", "win-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases, deltas := 0, 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.HasPrefix(data, []byte("torhs-ckpt-delta/")) {
+			deltas++
+		} else {
+			bases++
+		}
+	}
+	if bases != 2 || deltas == 0 {
+		t.Fatalf("%s: crash left %d bases and %d deltas; the cell must kill a delta save past a rebase", name, bases, deltas)
+	}
 }
 
 func matrixCells() []crashCell {
 	return []crashCell{
-		{fault.SiteStoreWrite, "popularity,tracking", 2},
-		{fault.SiteStoreRename, "popularity,tracking", 2},
-		{fault.SiteStoreRead, "popularity,tracking", 2},
-		{fault.SiteCheckpoint, "popularity,tracking", 4},
-		{fault.SiteTask, "popularity,tracking", 2},
-		{fault.SiteTrawlStep, "popularity", 3},
-		{fault.SiteTrackingWindow, "tracking", 60},
+		{site: fault.SiteStoreWrite, sel: "popularity,tracking", at: 2},
+		{site: fault.SiteStoreRename, sel: "popularity,tracking", at: 2},
+		{site: fault.SiteStoreRead, sel: "popularity,tracking", at: 2},
+		{site: fault.SiteCheckpoint, sel: "popularity,tracking", at: 4},
+		{site: fault.SiteTask, sel: "popularity,tracking", at: 2},
+		{site: fault.SiteTrawlStep, sel: "popularity", at: 3},
+		{site: fault.SiteTrackingWindow, sel: "tracking", at: 60},
+		// The 50th tracking checkpoint write (window 49) dies between
+		// its temp file and the rename: a delta in a chain that a rebase
+		// started.
+		{site: fault.SiteStoreRename, sel: "tracking", at: 50, pastRebase: true},
 		// deanon drives exactly one traffic window, so the kill must land
 		// on the first hit.
-		{fault.SiteSimWindow, "deanon", 1},
+		{site: fault.SiteSimWindow, sel: "deanon", at: 1},
 	}
 }
 
@@ -185,7 +217,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4, 0} {
 		crashed := 0
 		for _, cell := range matrixCells() {
-			name := fmt.Sprintf("%s/workers=%d", cell.site, workers)
+			name := fmt.Sprintf("%s@%d/workers=%d", cell.site, cell.at, workers)
 			dir := t.TempDir()
 			spec := fmt.Sprintf("seed=1; hard; %s=crash@%d", cell.site, cell.at)
 			code, out := runChild(t, dir, cell.sel, workers, spec, false)
@@ -203,6 +235,9 @@ func TestResumeByteIdentical(t *testing.T) {
 			}
 			if _, err := os.Stat(filepath.Join(dir, "out.txt")); !os.IsNotExist(err) {
 				t.Fatalf("%s: crashed child left an output file", name)
+			}
+			if cell.pastRebase {
+				checkChainPastRebase(t, name, dir)
 			}
 
 			if code, out := runChild(t, dir, cell.sel, workers, "", true); code != 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"torhs/internal/consensus"
@@ -56,6 +55,8 @@ type Network struct {
 
 	hosts           map[onion.Address]*Host
 	uploadObservers []func(UploadEvent)
+
+	scratch *WindowScratch
 }
 
 // Config parameterises client synthesis.
@@ -95,6 +96,10 @@ type Config struct {
 	// (the streaming pipeline's per-window retirement). All aggregate
 	// log queries are unchanged; only raw Requests() reads become nil.
 	CompactLogs bool
+	// Scratch shares window-sized buffers with networks that publish and
+	// drive one after another (a trawl's per-step networks). Nil gives
+	// the network a scratch of its own.
+	Scratch *WindowScratch
 }
 
 // DefaultConfig returns a client population sized for tests and examples.
@@ -140,6 +145,10 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		workers:    cfg.Workers,
 		maxSkew:    cfg.MaxSkew,
 		secrets:    cfg.SecretTable,
+		scratch:    cfg.Scratch,
+	}
+	if n.scratch == nil {
+		n.scratch = new(WindowScratch)
 	}
 	n.ringFPs = n.ring.Fingerprints()
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
@@ -312,9 +321,8 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 		descIdx []int32 // parallel indexes into descs
 	}
 	stage := make([]staged, shards)
-	countsPtr := grabZeroed[int32](&i32Pool, shards*nd)
-	defer i32Pool.Put(countsPtr)
-	counts := *countsPtr
+	n.scratch.counts = zeroed(n.scratch.counts, shards*nd)
+	counts := n.scratch.counts
 	parallel.Chunks(shards, len(svcs), func(shard, lo, hi int) {
 		var sc publishScratch
 		est := (hi - lo) * onion.Replicas * onion.SpreadPerReplica
@@ -355,9 +363,8 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	// ordered directory-major then shard-then-service, and apply each
 	// directory's span independently (each Directory has its own lock
 	// and sees its placements in exact service order).
-	dirOffsPtr := grabZeroed[int32](&i32Pool, nd+1)
-	defer i32Pool.Put(dirOffsPtr)
-	dirOffs := *dirOffsPtr
+	n.scratch.offs = zeroed(n.scratch.offs, nd+1)
+	dirOffs := n.scratch.offs
 	total := shardFillCursors(counts, dirOffs, shards, nd)
 	arena := make([]*onion.Descriptor, total)
 	parallel.ForEach(shards, shards, func(shard int) {
@@ -569,42 +576,38 @@ type planEntry struct {
 	phantom bool
 }
 
-// Window-sized scratch buffers are pooled across DriveWindow calls (and
-// across the per-step networks of a trawl): every slot is overwritten
-// before it is read, so reuse can never change an outcome — it only
-// stops each window from allocating and zeroing megabytes of plan,
-// record, and log-routing buffers.
-var (
-	planPool = sync.Pool{New: func() any { return new([]planEntry) }}
-	recsPool = sync.Pool{New: func() any { return new([]fetchRec) }}
-	reqsPool = sync.Pool{New: func() any { return new([]hsdir.Request) }}
-	idsPool  = sync.Pool{New: func() any { return new([]onion.DescriptorID) }}
-	i32Pool  = sync.Pool{New: func() any { return new([]int32) }}
-)
-
-// grabSlice returns a zero-length slice with capacity >= n from the
-// pooled backing array, growing it if needed.
-func grabSlice[T any](pool *sync.Pool, n int) *[]T {
-	p := pool.Get().(*[]T)
-	if cap(*p) < n {
-		*p = make([]T, 0, n)
-	}
-	*p = (*p)[:0]
-	return p
+// WindowScratch holds the window-sized buffers of PublishAll and
+// DriveWindow for reuse across windows: every slot is overwritten before
+// it is read, so reuse can never change an outcome — it only stops each
+// window from allocating and zeroing megabytes of plan, record, and
+// log-routing buffers. A scratch serves one call at a time, and its
+// buffers live exactly as long as the networks that own it, so no idle
+// window-sized copy outlives the run that needed it.
+type WindowScratch struct {
+	plan    []planEntry
+	phantom []onion.DescriptorID
+	recs    []fetchRec
+	order   []int32
+	batches [][]hsdir.Request // one routing batch per worker
+	counts  []int32
+	offs    []int32
 }
 
-// grabZeroed returns a length-n zeroed slice from the pooled backing
-// array (grabSlice hands out dirty capacity; counting buffers need
-// zeroes).
-func grabZeroed[T any](pool *sync.Pool, n int) *[]T {
-	p := grabSlice[T](pool, n)
-	var zero T
-	s := (*p)[:n]
-	for i := range s {
-		s[i] = zero
+// grow returns s resliced to length n, reallocating to exactly n when
+// its capacity is short (headroom would sit in the peak heap); the
+// contents are stale.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	*p = s
-	return p
+	return s[:n]
+}
+
+// zeroed is grow for counting buffers, which need zeroes.
+func zeroed[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
 }
 
 // warmGuardSets rotates-in the guard set of every client, using the
@@ -672,13 +675,11 @@ func (n *Network) DriveWindow(
 	// draws must complete once started (a partial draw would desync the
 	// sequential stream), so cancellation is observed between services,
 	// before the plan seed is drawn and any state below is touched.
-	planPtr := grabSlice[planEntry](&planPool, 4096)
-	defer planPool.Put(planPtr)
-	plan := *planPtr
+	plan := n.scratch.plan[:0]
 	realTotal := 0
 	for _, svc := range pop.PopularServices() {
 		if err := ctx.Err(); err != nil {
-			*planPtr = plan
+			n.scratch.plan = plan
 			return out, err
 		}
 		c := stats.Poisson(n.rng, svc.ExpectedRequests)
@@ -695,9 +696,8 @@ func (n *Network) DriveWindow(
 		phantomTotal = int(float64(realTotal) * phantomFrac / (1 - phantomFrac))
 	}
 	nPhantomIDs := pop.Config.ScaledPhantomIDs()
-	phantomPtr := grabSlice[onion.DescriptorID](&idsPool, nPhantomIDs)
-	defer idsPool.Put(phantomPtr)
-	phantomIDs := (*phantomPtr)[:nPhantomIDs]
+	n.scratch.phantom = grow(n.scratch.phantom, nPhantomIDs)
+	phantomIDs := n.scratch.phantom
 	for i := range phantomIDs {
 		f := onion.RandomFingerprint(n.rng)
 		copy(phantomIDs[i][:], f[:])
@@ -705,7 +705,7 @@ func (n *Network) DriveWindow(
 	for k := 0; k < phantomTotal; k++ {
 		plan = append(plan, planEntry{phantom: true})
 	}
-	*planPtr = plan // pool the (possibly grown) backing array, not the stale header
+	n.scratch.plan = plan // keep the (possibly grown) backing array, not the stale header
 	planSeed := n.rng.Int63()
 	end := start.Add(window)
 	n.warmGuardSets(start, end)
@@ -733,16 +733,14 @@ func (n *Network) DriveWindow(
 	if shards == 0 {
 		return out, nil
 	}
-	recsPtr := grabSlice[fetchRec](&recsPool, len(plan))
-	defer recsPool.Put(recsPtr)
-	recs := (*recsPtr)[:len(plan)] // pointer-free: never GC-scanned
+	n.scratch.recs = grow(n.scratch.recs, len(plan))
+	recs := n.scratch.recs // pointer-free: never GC-scanned
 	nd := len(n.dirs)
 	// counts[shard*nd+d] stages shard's answered-request count for
 	// directory d; after the drive it is rewritten in place into the
 	// shard's fill cursors for the routing arena.
-	countsPtr := grabZeroed[int32](&i32Pool, shards*nd)
-	defer i32Pool.Put(countsPtr)
-	counts := *countsPtr
+	n.scratch.counts = zeroed(n.scratch.counts, shards*nd)
+	counts := n.scratch.counts
 	shardStats := make([]TrafficStats, shards)
 	parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
 		var sc fetchScratch
@@ -786,20 +784,22 @@ func (n *Network) DriveWindow(
 	}
 
 	// Route the window's request records to the per-directory logs: the
-	// staged per-shard counts become fill cursors into one shared arena
-	// whose directory spans are ordered shard-then-plan — which *is*
-	// plan order, so log contents are byte-identical at every worker
-	// count — then each shard copies its own records into its disjoint
-	// cursor ranges in parallel, and the per-directory RecordBatch calls
-	// (independent logs, one batch each) fan out too.
-	dirOffsPtr := grabZeroed[int32](&i32Pool, nd+1)
-	defer i32Pool.Put(dirOffsPtr)
-	dirOffs := *dirOffsPtr
+	// staged per-shard counts become fill cursors into one shared index
+	// arena whose directory spans are ordered shard-then-plan — which
+	// *is* plan order, so log contents are byte-identical at every
+	// worker count — then each shard writes the plan indexes of its own
+	// records into its disjoint cursor ranges in parallel. The
+	// directories then fan out: each gathers its span into its worker's
+	// batch buffer and appends it to its log in one RecordBatch. Routing
+	// through 4-byte indexes rather than a window-sized copy of the
+	// requests keeps the window's peak heap down to the records
+	// themselves plus one directory's span per worker.
+	n.scratch.offs = zeroed(n.scratch.offs, nd+1)
+	dirOffs := n.scratch.offs
 	total := shardFillCursors(counts, dirOffs, shards, nd)
 	if total > 0 {
-		arenaPtr := grabSlice[hsdir.Request](&reqsPool, int(total))
-		defer reqsPool.Put(arenaPtr)
-		arena := (*arenaPtr)[:total]
+		n.scratch.order = grow(n.scratch.order, int(total))
+		order := n.scratch.order
 		parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
 			cur := counts[shard*nd : (shard+1)*nd]
 			for i := lo; i < hi; i++ {
@@ -807,18 +807,25 @@ func (n *Network) DriveWindow(
 				if d < 0 {
 					continue
 				}
-				arena[cur[d]] = hsdir.Request{
-					At:     time.Unix(0, recs[i].atNanos).UTC(),
-					DescID: recs[i].descID,
-					Found:  recs[i].found,
-				}
+				order[cur[d]] = int32(i)
 				cur[d]++
 			}
 		})
-		parallel.ForEach(workers, nd, func(d int) {
-			if dirOffs[d+1] > dirOffs[d] {
-				n.dirs[d].Log().RecordBatch(arena[dirOffs[d]:dirOffs[d+1]])
+		n.scratch.batches = grow(n.scratch.batches, parallel.NumChunks(workers, nd))
+		parallel.Chunks(workers, nd, func(w, lo, hi int) {
+			batch := n.scratch.batches[w]
+			for d := lo; d < hi; d++ {
+				batch = batch[:0]
+				for _, i := range order[dirOffs[d]:dirOffs[d+1]] {
+					batch = append(batch, hsdir.Request{
+						At:     time.Unix(0, recs[i].atNanos).UTC(),
+						DescID: recs[i].descID,
+						Found:  recs[i].found,
+					})
+				}
+				n.dirs[d].Log().RecordBatch(batch)
 			}
+			n.scratch.batches[w] = batch
 		})
 	}
 	return out, nil
