@@ -13,10 +13,8 @@ import (
 	"torhs/internal/relaynet"
 )
 
-// runHarvest runs a small trawl end to end with or without compact logs
-// and returns the harvest. Mirrors setupTrawl, but the log mode must
-// vary per call.
-func runHarvest(t *testing.T, seed int64, compact bool) *Harvest {
+// runHarvest runs a small trawl end to end and returns the harvest.
+func runHarvest(t *testing.T, seed int64) *Harvest {
 	t.Helper()
 	fleet := relaynet.DefaultFleetConfig(seed)
 	fleet.Days = 1
@@ -30,7 +28,6 @@ func runHarvest(t *testing.T, seed int64, compact bool) *Harvest {
 	cfg.IPs = 15
 	cfg.Steps = 3
 	cfg.ClientConfig.Clients = 300
-	cfg.CompactLogs = compact
 	tr, err := NewTrawler(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +52,7 @@ func runHarvest(t *testing.T, seed int64, compact bool) *Harvest {
 }
 
 // assertHarvestAggregatesEqual compares every downstream-visible output
-// of two harvests (raw request records excluded — compact mode retires
-// them by contract).
+// of two harvests.
 func assertHarvestAggregatesEqual(t *testing.T, want, got *Harvest) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Addresses, got.Addresses) {
@@ -93,52 +89,18 @@ func assertHarvestAggregatesEqual(t *testing.T, want, got *Harvest) {
 	}
 }
 
-// TestCompactHarvestMatchesRaw is the trawl leg of the streaming
-// equivalence contract: retiring raw request records per window must not
-// move a single downstream aggregate.
-func TestCompactHarvestMatchesRaw(t *testing.T) {
-	raw := runHarvest(t, 21, false)
-	compact := runHarvest(t, 21, true)
-	assertHarvestAggregatesEqual(t, raw, compact)
-	if !compact.Log.Compacted() {
-		t.Fatal("CompactLogs run produced a raw merged log")
-	}
-	if compact.Log.Requests() != nil {
-		t.Fatal("compact harvest retained raw request records")
-	}
-	if raw.Log.Compacted() {
-		t.Fatal("raw run produced a compact merged log")
-	}
-}
-
 // TestHarvestStateRoundTrip pins the intermediate-artefact encoding: a
 // harvest must survive State → gob → HarvestFromState with every
-// aggregate intact, in both log modes.
+// aggregate intact.
 func TestHarvestStateRoundTrip(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		name := "raw"
-		if compact {
-			name = "compact"
-		}
-		t.Run(name, func(t *testing.T) {
-			h := runHarvest(t, 22, compact)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(h.State()); err != nil {
-				t.Fatal(err)
-			}
-			var st HarvestState
-			if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			back := HarvestFromState(&st)
-			assertHarvestAggregatesEqual(t, h, back)
-			if compact {
-				if !back.Log.Compacted() {
-					t.Fatal("compact harvest came back raw")
-				}
-			} else if rr := back.Log.Requests(); len(rr) != h.Log.Total() {
-				t.Fatalf("raw harvest came back with %d of %d request records", len(rr), h.Log.Total())
-			}
-		})
+	h := runHarvest(t, 22)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(h.State()); err != nil {
+		t.Fatal(err)
 	}
+	var st HarvestState
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	assertHarvestAggregatesEqual(t, h, HarvestFromState(&st))
 }

@@ -51,11 +51,8 @@ type Snapshot struct {
 	PermIDs         map[onion.Address]onion.PermanentID
 	DescriptorsSeen int
 	StepCoverage    []float64
-	// Requests is the merged request log in original append order (nil
-	// for compact-log runs, whose raw records were retired on arrival).
-	Requests []hsdir.Request
-	// LogCounts / LogTotal / LogFound carry the merged log's aggregate
-	// state for compact-log runs (hsdir.RequestLog.CompactState form).
+	// LogCounts / LogTotal / LogFound carry the merged request log's
+	// state (hsdir.RequestLog.CompactState form).
 	LogCounts map[onion.DescriptorID]int
 	LogTotal  int
 	LogFound  int
@@ -107,13 +104,11 @@ type Config struct {
 	// Resume restores the latest valid snapshot from Checkpoint and
 	// continues from the following step instead of starting at step 0.
 	Resume bool
-	// CompactLogs runs the streaming pipeline's per-window log
-	// retirement: every per-step directory log and the merged harvest
-	// log fold requests into per-descriptor-ID counts on arrival instead
-	// of retaining raw records, bounding log memory by distinct IDs
-	// rather than request volume. All aggregate harvest outputs (and the
-	// rendered experiments) are byte-identical; only Harvest.Log's raw
-	// Requests() reads become nil.
+	// CompactLogs has no effect: request logs always keep per-ID
+	// counts only.
+	//
+	// Deprecated: a no-op kept only because the perfbench module still
+	// sets it; remove it together with that use.
 	CompactLogs bool
 }
 
@@ -271,9 +266,6 @@ func (t *Trawler) Run(
 		Start:     attackStart,
 		End:       attackStart.Add(time.Duration(t.cfg.Steps) * t.cfg.StepLen),
 	}
-	if t.cfg.CompactLogs {
-		h.Log = hsdir.NewCompactLog()
-	}
 
 	published := pop.WithDescriptor()
 	publishedIDs := make(map[onion.DescriptorID]bool)
@@ -304,15 +296,7 @@ func (t *Trawler) Run(
 			if snap.RequestedPublished != nil {
 				requestedPublished = snap.RequestedPublished
 			}
-			if snap.LogCounts != nil {
-				// Compact snapshot: the aggregate log state restores
-				// exactly (raw records were retired before the save).
-				h.Log.RestoreCompact(snap.LogCounts, snap.LogTotal, snap.LogFound)
-			} else {
-				// Requests restore in original append order, so every
-				// order-dependent downstream read is unchanged.
-				h.Log.RecordBatch(snap.Requests)
-			}
+			h.Log.RestoreCompact(snap.LogCounts, snap.LogTotal, snap.LogFound)
 		}
 	}
 	ckptEvery := t.cfg.CheckpointEvery
@@ -334,11 +318,7 @@ func (t *Trawler) Run(
 			PublishedIDs:       publishedIDs,
 			RequestedPublished: requestedPublished,
 		}
-		if h.Log.Compacted() {
-			snap.LogCounts, snap.LogTotal, snap.LogFound = h.Log.CompactState()
-		} else {
-			snap.Requests = h.Log.Requests()
-		}
+		snap.LogCounts, snap.LogTotal, snap.LogFound = h.Log.CompactState()
 		return snap
 	}
 	flush := func(step int) error {
@@ -381,7 +361,6 @@ func (t *Trawler) Run(
 		cfg.Seed = cfg.Seed*1000003 + int64(step) // fresh but deterministic per step
 		cfg.Workers = t.cfg.Workers
 		cfg.SecretTable = t.cfg.SecretTable
-		cfg.CompactLogs = t.cfg.CompactLogs
 		cfg.Scratch = scratch
 		net, err := simnet.NewNetwork(doc, db, cfg)
 		if err != nil {
@@ -523,7 +502,7 @@ func (h *Harvest) RequestedPublishedFraction() float64 {
 // the intermediate artefact the experiments layer spills to the result
 // store so re-runs and sweeps sharing a harvest stage are cache hits.
 // Round-tripping through it reconstructs every aggregate the downstream
-// pipelines read; raw request records survive only for raw-mode logs.
+// pipelines read.
 type HarvestState struct {
 	Addresses             map[onion.Address]bool
 	PermIDs               map[onion.Address]onion.PermanentID
@@ -533,10 +512,8 @@ type HarvestState struct {
 	RequestedPublishedIDs int
 	CollectedFraction     float64
 	Start, End            time.Time
-	// Requests is the raw merged log (raw mode); Compact runs carry the
-	// aggregate state instead.
-	Requests  []hsdir.Request
-	Compact   bool
+	// LogCounts / LogTotal / LogFound carry the merged request log's
+	// state (hsdir.RequestLog.CompactState form).
 	LogCounts map[onion.DescriptorID]int
 	LogTotal  int
 	LogFound  int
@@ -556,12 +533,7 @@ func (h *Harvest) State() *HarvestState {
 		End:                   h.End,
 	}
 	if h.Log != nil {
-		if h.Log.Compacted() {
-			st.Compact = true
-			st.LogCounts, st.LogTotal, st.LogFound = h.Log.CompactState()
-		} else {
-			st.Requests = h.Log.Requests()
-		}
+		st.LogCounts, st.LogTotal, st.LogFound = h.Log.CompactState()
 	}
 	return st
 }
@@ -586,10 +558,6 @@ func HarvestFromState(st *HarvestState) *Harvest {
 	if h.PermIDs == nil {
 		h.PermIDs = make(map[onion.Address]onion.PermanentID)
 	}
-	if st.Compact {
-		h.Log.RestoreCompact(st.LogCounts, st.LogTotal, st.LogFound)
-	} else {
-		h.Log.RecordBatch(st.Requests)
-	}
+	h.Log.RestoreCompact(st.LogCounts, st.LogTotal, st.LogFound)
 	return h
 }

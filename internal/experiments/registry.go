@@ -230,7 +230,14 @@ func (r *Registry) Run(ctx context.Context, env *Env, names []string, w io.Write
 // It is part of every result-store cache key, so bumping it invalidates
 // persisted artefacts when an experiment or section builder changes
 // what it emits.
-const OutputVersion = "6"
+//
+// It also versions the gob payloads of checkpoints and intermediates
+// (trawl snapshots, spilled harvests, tracking windows), which are
+// looked up under the same keys: gob silently drops fields the receiver
+// no longer has, so an old payload could decode into a wrong state.
+// Bump it whenever one of those payload types changes shape, so files
+// written by older code are never read.
+const OutputVersion = "7"
 
 // RunOptions parameterises one pipeline invocation.
 type RunOptions struct {

@@ -66,11 +66,11 @@ type Config struct {
 	PopularityTopN int
 	// Stream folds the window-consuming kernels online instead of
 	// materializing their full time axis: the tracking sweep consumes
-	// consensus windows through a sliding ring re-derived from seed, the
-	// trawl retires per-directory request logs into compact count
-	// summaries after each fold, and the population generator allocates
-	// in demand-sized arena chunks. Peak live heap becomes a function of
-	// the ring size rather than the window count.
+	// consensus windows through a sliding ring re-derived from seed, and
+	// the population generator allocates in demand-sized arena chunks.
+	// Peak live heap becomes a function of the ring size rather than the
+	// window count. Request logs are unaffected: they keep per-ID counts
+	// only in every mode.
 	//
 	//torhs:nocachekey streamed and materialized runs render byte-identical output (pinned by the streaming equivalence tests), so they deliberately share cache entries
 	Stream bool
@@ -270,7 +270,6 @@ func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool)
 	tCfg.Steps = e.cfg.TrawlSteps
 	tCfg.Workers = e.cfg.Workers
 	tCfg.SecretTable = e.studySecretTable()
-	tCfg.CompactLogs = e.cfg.Stream
 	if driveTraffic {
 		tCfg.ClientConfig.Clients = e.cfg.Clients
 	} else {

@@ -176,7 +176,7 @@ func (d *Directory) Fetch(id onion.DescriptorID, now time.Time) (*onion.Descript
 			d.markRequested(i)
 		}
 	}
-	d.log.record(Request{At: now, DescID: id, Found: found})
+	d.log.Record(Request{DescID: id, Found: found})
 	return desc, found
 }
 

@@ -137,11 +137,11 @@ func TestRequestLogCountsAndMerge(t *testing.T) {
 	var id1, id2 onion.DescriptorID
 	id1[0], id2[0] = 1, 2
 
-	a.Record(Request{At: at(0), DescID: id1, Found: true})
-	a.Record(Request{At: at(0), DescID: id1})
-	b.Record(Request{At: at(1), DescID: id2})
+	a.Record(Request{DescID: id1, Found: true})
+	a.Record(Request{DescID: id1})
+	b.Record(Request{DescID: id2})
 
-	a.Merge(b)
+	a.MergeAll([]*RequestLog{b})
 	if a.Total() != 3 {
 		t.Fatalf("merged total = %d, want 3", a.Total())
 	}
@@ -158,13 +158,13 @@ func TestRequestLogCountsAndMerge(t *testing.T) {
 	}
 }
 
-func TestRequestsReturnsCopy(t *testing.T) {
+func TestCountsByIDReturnsCopy(t *testing.T) {
 	l := NewRequestLog()
 	var id onion.DescriptorID
-	l.Record(Request{At: at(0), DescID: id})
-	reqs := l.Requests()
-	reqs[0].Found = true
-	if l.Requests()[0].Found {
-		t.Fatal("Requests leaked internal slice")
+	l.Record(Request{DescID: id})
+	counts := l.CountsByID()
+	counts[id] = 99
+	if got := l.CountsByID()[id]; got != 1 {
+		t.Fatalf("CountsByID leaked the internal map: count = %d, want 1", got)
 	}
 }

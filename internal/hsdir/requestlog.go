@@ -2,14 +2,12 @@ package hsdir
 
 import (
 	"sync"
-	"time"
 
 	"torhs/internal/onion"
 )
 
 // Request is one descriptor fetch observed by a directory.
 type Request struct {
-	At     time.Time
 	DescID onion.DescriptorID
 	// Found reports whether a live descriptor was stored under the ID.
 	// The paper found 80% of live-network requests were for descriptors
@@ -17,164 +15,71 @@ type Request struct {
 	Found bool
 }
 
-// RequestLog accumulates descriptor fetches. It is safe for concurrent
-// use and supports merging, since the trawling attack aggregates logs from
-// many attacker-operated directories.
-//
-// Recording is append-only: the per-descriptor-ID count map is built
-// lazily on the first aggregate query and maintained incrementally from
-// then on, so the recording hot path (one bulk RecordBatch per driven
-// window per directory) never pays a map operation per request.
-//
-// A log can run in compact mode (NewCompactLog, or Compact on an existing
-// log): raw Request records are folded into the per-ID counts as they
-// arrive and never retained, so the log's footprint is bounded by the
-// number of distinct descriptor IDs instead of the request volume. Every
-// aggregate query (Total, UniqueIDs, FoundFraction, CountsByID, EachCount)
-// returns exactly the same values in either mode; only Requests — the raw
-// arrival-order record — is unavailable (nil) on a compact log. This is
-// the per-window retirement step of the streaming pipeline: request
-// timestamps feed no experiment output, so dropping them preserves
-// byte-identical study renders.
+// RequestLog accumulates descriptor fetches as per-descriptor-ID request
+// counts plus the total and found tallies — exactly what the paper's
+// popularity estimate reads ("the request rate for hidden service
+// descriptors by clients"). Each request folds into the counts on
+// arrival and is not retained, so the log's footprint is bounded by the
+// number of distinct descriptor IDs instead of the request volume. It is
+// safe for concurrent use and supports merging, since the trawling
+// attack aggregates logs from many attacker-operated directories.
 type RequestLog struct {
-	mu       sync.Mutex
-	requests []Request
-	found    int
-	// compact discards raw requests on arrival; total then carries the
-	// request count that len(requests) carries in raw mode, and perID is
-	// authoritative (always non-nil).
-	compact bool
-	total   int
-	// perID is the lazily built per-descriptor-ID request count; nil
-	// means "not built yet" (rebuilt on demand by countsLocked).
+	mu    sync.Mutex
 	perID map[onion.DescriptorID]int
+	total int
+	found int
 }
 
 // NewRequestLog returns an empty log.
 func NewRequestLog() *RequestLog {
-	return &RequestLog{}
+	return &RequestLog{perID: make(map[onion.DescriptorID]int)}
 }
 
-// NewCompactLog returns an empty log in compact mode: requests fold into
-// per-ID counts on arrival and are never retained.
-func NewCompactLog() *RequestLog {
-	return &RequestLog{compact: true, perID: make(map[onion.DescriptorID]int)}
-}
-
-// Compact switches the log to compact mode, folding any raw requests
-// already recorded into the per-ID counts and releasing them. Idempotent.
-func (l *RequestLog) Compact() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.compactLocked()
-}
-
-// compactLocked folds raw state into compact state. Callers hold l.mu.
-func (l *RequestLog) compactLocked() {
-	if l.compact {
-		return
-	}
-	l.perID = l.countsLocked()
-	l.total = len(l.requests)
-	l.requests = nil
-	l.compact = true
-}
-
-// Compacted reports whether the log runs in compact mode.
-func (l *RequestLog) Compacted() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.compact
-}
-
-func (l *RequestLog) record(r Request) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.compact {
-		l.perID[r.DescID]++
-		l.total++
-		if r.Found {
-			l.found++
-		}
-		return
-	}
-	l.requests = append(l.requests, r)
+// foldLocked adds one request to the tallies. Callers hold l.mu.
+func (l *RequestLog) foldLocked(r Request) {
+	l.perID[r.DescID]++
+	l.total++
 	if r.Found {
 		l.found++
 	}
-	if l.perID != nil {
-		l.perID[r.DescID]++
-	}
 }
 
-// Record appends a request observation. Exposed for components (such as
+// Record folds one request observation. Exposed for components (such as
 // the simnet client driver) that observe fetches outside a Directory.
-func (l *RequestLog) Record(r Request) { l.record(r) }
+func (l *RequestLog) Record(r Request) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.foldLocked(r)
+}
 
-// RecordBatch appends a batch of request observations, taking the lock
-// exactly once. This is how DriveWindow merges a window's per-worker
-// shard buffers into the per-directory logs: fetches record lock-free
-// into local buffers during the window and land here in one append.
-// With sufficient spare capacity the call performs zero heap allocations.
+// RecordBatch folds a batch of request observations, taking the lock
+// exactly once. This is how DriveWindow lands a window's records in the
+// per-directory logs: fetches record lock-free into local buffers during
+// the window and fold here in one call. Once every ID in the batch has
+// been seen the call performs zero heap allocations.
 func (l *RequestLog) RecordBatch(batch []Request) {
 	if len(batch) == 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.compact {
-		for i := range batch {
-			l.perID[batch[i].DescID]++
-			if batch[i].Found {
-				l.found++
-			}
-		}
-		l.total += len(batch)
-		return
-	}
-	l.requests = append(l.requests, batch...)
 	for i := range batch {
-		if batch[i].Found {
-			l.found++
-		}
-		if l.perID != nil {
-			l.perID[batch[i].DescID]++
-		}
+		l.foldLocked(batch[i])
 	}
-}
-
-// countsLocked returns the per-ID count map, building it on first use.
-// Callers must hold l.mu. In compact mode perID is authoritative.
-func (l *RequestLog) countsLocked() map[onion.DescriptorID]int {
-	if l.perID == nil {
-		l.perID = make(map[onion.DescriptorID]int, len(l.requests))
-		for i := range l.requests {
-			l.perID[l.requests[i].DescID]++
-		}
-	}
-	return l.perID
-}
-
-// totalLocked returns the request count in either mode. Callers hold l.mu.
-func (l *RequestLog) totalLocked() int {
-	if l.compact {
-		return l.total
-	}
-	return len(l.requests)
 }
 
 // Total returns the total number of requests.
 func (l *RequestLog) Total() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.totalLocked()
+	return l.total
 }
 
 // UniqueIDs returns the number of distinct descriptor IDs requested.
 func (l *RequestLog) UniqueIDs() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.countsLocked())
+	return len(l.perID)
 }
 
 // FoundFraction returns the fraction of requests that hit a stored
@@ -182,11 +87,10 @@ func (l *RequestLog) UniqueIDs() int {
 func (l *RequestLog) FoundFraction() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	total := l.totalLocked()
-	if total == 0 {
+	if l.total == 0 {
 		return 0
 	}
-	return float64(l.found) / float64(total)
+	return float64(l.found) / float64(l.total)
 }
 
 // CountsByID returns a copy of the per-descriptor-ID request counts.
@@ -194,12 +98,7 @@ func (l *RequestLog) FoundFraction() float64 {
 func (l *RequestLog) CountsByID() map[onion.DescriptorID]int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	counts := l.countsLocked()
-	out := make(map[onion.DescriptorID]int, len(counts))
-	for id, n := range counts {
-		out[id] = n
-	}
-	return out
+	return copyCounts(l.perID)
 }
 
 // EachCount visits the per-descriptor-ID request counts without copying
@@ -209,151 +108,72 @@ func (l *RequestLog) EachCount(fn func(id onion.DescriptorID, n int)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	//torhs:ignore detorder unordered visiting is EachCount's documented contract; deterministic consumers must fold commutatively (popularity.Resolution.addCount is the exemplar)
-	for id, n := range l.countsLocked() {
+	for id, n := range l.perID {
 		fn(id, n)
 	}
 }
 
-// Requests returns a copy of all recorded requests in arrival order, or
-// nil for a compact log (the raw records were retired on arrival).
-func (l *RequestLog) Requests() []Request {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.compact {
-		return nil
-	}
-	out := make([]Request, len(l.requests))
-	copy(out, l.requests)
-	return out
-}
-
-// CompactState returns a copy of the log's aggregate state — the per-ID
-// counts, the total request count, and the found count — in either mode.
-// This is the snapshot form the trawl checkpoints persist for compact
-// harvests: it reconstructs every aggregate query exactly.
+// CompactState returns a copy of the log's whole state — the per-ID
+// counts, the total request count, and the found count. This is the
+// form trawl snapshots and spilled harvests persist: it reconstructs
+// every query exactly.
 func (l *RequestLog) CompactState() (counts map[onion.DescriptorID]int, total, found int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	src := l.countsLocked()
-	counts = make(map[onion.DescriptorID]int, len(src))
-	for id, n := range src {
-		counts[id] = n
-	}
-	return counts, l.totalLocked(), l.found
+	return copyCounts(l.perID), l.total, l.found
 }
 
-// RestoreCompact replaces the log's contents with the given compact
-// aggregate state (the log switches to compact mode). The counts map is
-// copied; the caller keeps ownership of its argument.
+// RestoreCompact replaces the log's contents with the given state. The
+// counts map is copied; the caller keeps ownership of its argument.
 func (l *RequestLog) RestoreCompact(counts map[onion.DescriptorID]int, total, found int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.requests = nil
-	l.compact = true
+	l.perID = copyCounts(counts)
 	l.total = total
 	l.found = found
-	l.perID = make(map[onion.DescriptorID]int, len(counts))
-	for id, n := range counts {
-		l.perID[id] = n
-	}
 }
 
-// MergeAll folds every log in others into l in slice order, with one
-// snapshot pass over the sources and a single bulk append under l's
-// lock. This is the one-merge-per-step path of the trawl read-out: the
-// per-shard directory logs land in shard-then-directory order, and the
-// lazy per-ID map is invalidated once instead of once per source. The
-// source logs are left unchanged.
-//
-// Compact sources fold commutatively — per-ID count sums — which is
-// order-insensitive by construction, so merging compact logs preserves
-// the shard-merge determinism contract. If l or any source is compact,
-// l ends up compact (raw records cannot be reconstructed from counts).
+// MergeAll folds every log in others into l, skipping nil sources and l
+// itself, with one snapshot pass over the sources and a single fold
+// under l's lock. This is the one-merge-per-step path of the trawl
+// read-out. Merging sums per-ID counts, which is order-insensitive by
+// construction, so it preserves the shard-merge determinism contract.
+// The source logs are left unchanged.
 func (l *RequestLog) MergeAll(others []*RequestLog) {
-	need := 0
-	anyCompact := false
-	for _, o := range others {
-		if o != nil && o != l {
-			need += o.Total()
-			if o.Compacted() {
-				anyCompact = true
-			}
-		}
-	}
-	if need == 0 {
-		return
-	}
-	// Snapshot every source under its own lock only, then append under
-	// l's lock only — the two locks are never held together (same
-	// no-ordering-to-deadlock-on discipline as Merge).
-	var scratch []Request
-	var counts map[onion.DescriptorID]int
-	if anyCompact {
-		counts = make(map[onion.DescriptorID]int)
-	} else {
-		scratch = make([]Request, 0, need)
-	}
+	// Snapshot every source under its own lock only, then fold under
+	// l's lock only — the two locks are never held together, so there
+	// is no lock order to deadlock on.
+	counts := make(map[onion.DescriptorID]int)
 	total, found := 0, 0
 	for _, o := range others {
 		if o == nil || o == l {
 			continue
 		}
 		o.mu.Lock()
-		if anyCompact {
-			for id, n := range o.countsLocked() {
-				counts[id] += n
-			}
-			total += o.totalLocked()
-		} else {
-			scratch = append(scratch, o.requests...)
+		for id, n := range o.perID {
+			counts[id] += n
 		}
+		total += o.total
 		found += o.found
 		o.mu.Unlock()
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if anyCompact || l.compact {
-		l.compactLocked()
-		for id, n := range counts {
-			l.perID[id] += n
-		}
-		for i := range scratch {
-			l.perID[scratch[i].DescID]++
-		}
-		l.total += total + len(scratch)
-		l.found += found
+	if total == 0 {
 		return
 	}
-	l.requests = append(l.requests, scratch...)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for id, n := range counts {
+		l.perID[id] += n
+	}
+	l.total += total
 	l.found += found
-	l.perID = nil // cheaper to rebuild once than to fold map into map
 }
 
-// Merge folds other's requests into l with one bulk append, taking each
-// log's lock exactly once. The other log is left unchanged. Compact
-// sources (or a compact destination) fold per-ID counts instead, leaving
-// l compact — see MergeAll.
-func (l *RequestLog) Merge(other *RequestLog) {
-	if other == nil || other == l {
-		return
+// copyCounts returns a copy of m (never nil).
+func copyCounts(m map[onion.DescriptorID]int) map[onion.DescriptorID]int {
+	out := make(map[onion.DescriptorID]int, len(m))
+	for id, n := range m {
+		out[id] = n
 	}
-	if other.Compacted() || l.Compacted() {
-		l.MergeAll([]*RequestLog{other})
-		return
-	}
-	// Snapshot under other's lock only, so the two locks are never held
-	// together (no ordering to deadlock on). The per-ID counts need no
-	// copying: the destination rebuilds its lazy map from the merged
-	// request list on the next aggregate query.
-	other.mu.Lock()
-	requests := make([]Request, len(other.requests))
-	copy(requests, other.requests)
-	found := other.found
-	other.mu.Unlock()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.requests = append(l.requests, requests...)
-	l.found += found
-	l.perID = nil // cheaper to rebuild once than to fold map into map
+	return out
 }

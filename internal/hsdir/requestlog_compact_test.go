@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"torhs/internal/onion"
 )
@@ -18,11 +17,9 @@ func compactTestRequests(seed int64, n, distinct int) []Request {
 		f := onion.RandomFingerprint(rng)
 		copy(ids[i][:], f[:])
 	}
-	at := time.Date(2013, 2, 4, 0, 0, 0, 0, time.UTC)
 	reqs := make([]Request, n)
 	for i := range reqs {
 		reqs[i] = Request{
-			At:     at.Add(time.Duration(i) * time.Second),
 			DescID: ids[rng.Intn(distinct)],
 			Found:  rng.Intn(5) != 0,
 		}
@@ -30,122 +27,158 @@ func compactTestRequests(seed int64, n, distinct int) []Request {
 	return reqs
 }
 
-// assertSameAggregates requires every aggregate query of the two logs to
-// agree — the compact-mode contract.
-func assertSameAggregates(t *testing.T, raw, compact *RequestLog) {
+// naiveFold is the reference every log query is checked against: a
+// plain per-request fold of the raw stream, independent of RequestLog.
+type naiveFold struct {
+	counts       map[onion.DescriptorID]int
+	total, found int
+}
+
+func foldRequests(reqs ...[]Request) naiveFold {
+	ref := naiveFold{counts: make(map[onion.DescriptorID]int)}
+	for _, rs := range reqs {
+		for _, r := range rs {
+			ref.counts[r.DescID]++
+			ref.total++
+			if r.Found {
+				ref.found++
+			}
+		}
+	}
+	return ref
+}
+
+// logFrom returns a log restored from the reference's state.
+func (ref naiveFold) logFrom() *RequestLog {
+	l := NewRequestLog()
+	l.RestoreCompact(ref.counts, ref.total, ref.found)
+	return l
+}
+
+// assertMatchesFold requires every query of the log to agree with the
+// naive fold of the same requests.
+func assertMatchesFold(t *testing.T, ref naiveFold, l *RequestLog) {
 	t.Helper()
-	if got, want := compact.Total(), raw.Total(); got != want {
-		t.Errorf("Total = %d, want %d", got, want)
+	if got := l.Total(); got != ref.total {
+		t.Errorf("Total = %d, want %d", got, ref.total)
 	}
-	if got, want := compact.UniqueIDs(), raw.UniqueIDs(); got != want {
-		t.Errorf("UniqueIDs = %d, want %d", got, want)
+	if got := l.UniqueIDs(); got != len(ref.counts) {
+		t.Errorf("UniqueIDs = %d, want %d", got, len(ref.counts))
 	}
-	if got, want := compact.FoundFraction(), raw.FoundFraction(); got != want {
+	want := 0.0
+	if ref.total > 0 {
+		want = float64(ref.found) / float64(ref.total)
+	}
+	if got := l.FoundFraction(); got != want {
 		t.Errorf("FoundFraction = %v, want %v", got, want)
 	}
-	if got, want := compact.CountsByID(), raw.CountsByID(); !reflect.DeepEqual(got, want) {
-		t.Errorf("CountsByID diverged: %d vs %d entries", len(got), len(want))
+	if got := l.CountsByID(); !reflect.DeepEqual(got, ref.counts) {
+		t.Errorf("CountsByID diverged: %d vs %d entries", len(got), len(ref.counts))
 	}
 	gotEach := make(map[onion.DescriptorID]int)
-	compact.EachCount(func(id onion.DescriptorID, n int) { gotEach[id] += n })
-	if want := raw.CountsByID(); !reflect.DeepEqual(gotEach, want) {
-		t.Error("EachCount fold diverged from the raw counts")
+	l.EachCount(func(id onion.DescriptorID, n int) { gotEach[id] += n })
+	if !reflect.DeepEqual(gotEach, ref.counts) {
+		t.Error("EachCount fold diverged from the reference counts")
+	}
+	counts, total, found := l.CompactState()
+	if !reflect.DeepEqual(counts, ref.counts) || total != ref.total || found != ref.found {
+		t.Errorf("CompactState = (%d ids, %d, %d), want (%d ids, %d, %d)",
+			len(counts), total, found, len(ref.counts), ref.total, ref.found)
 	}
 }
 
 func TestCompactLogAggregatesMatchRaw(t *testing.T) {
 	reqs := compactTestRequests(1, 5000, 60)
-	raw, compact := NewRequestLog(), NewCompactLog()
+	l := NewRequestLog()
 	// Interleave single records and batches so both arrival paths fold.
 	for i := 0; i < 100; i++ {
-		raw.Record(reqs[i])
-		compact.Record(reqs[i])
+		l.Record(reqs[i])
 	}
-	raw.RecordBatch(reqs[100:])
-	compact.RecordBatch(reqs[100:])
-
-	assertSameAggregates(t, raw, compact)
-	if !compact.Compacted() || raw.Compacted() {
-		t.Fatal("Compacted() mode flags wrong")
+	l.RecordBatch(reqs[100:2000])
+	for i := 2000; i < 2100; i++ {
+		l.Record(reqs[i])
 	}
-	if got := raw.Requests(); len(got) != len(reqs) {
-		t.Fatalf("raw log retained %d requests, want %d", len(got), len(reqs))
-	}
-	if got := compact.Requests(); got != nil {
-		t.Fatalf("compact log returned %d raw requests, want nil", len(got))
-	}
+	l.RecordBatch(reqs[2100:])
+	l.RecordBatch(nil)
+	assertMatchesFold(t, foldRequests(reqs), l)
+	assertMatchesFold(t, foldRequests(nil), NewRequestLog())
 }
 
+// TestCompactMidStreamMatchesRaw is the trawl resume shape: a log's
+// state is saved mid-stream, restored into a fresh log, and the rest of
+// the stream folds on top.
 func TestCompactMidStreamMatchesRaw(t *testing.T) {
 	reqs := compactTestRequests(2, 2000, 40)
-	raw, mid := NewRequestLog(), NewRequestLog()
-	raw.RecordBatch(reqs)
-	// mid folds half raw, compacts (retiring the records), then folds the
-	// rest in compact mode — the trawl per-step retirement shape.
-	mid.RecordBatch(reqs[:1000])
-	mid.Compact()
-	mid.Compact() // idempotent
-	if !mid.Compacted() {
-		t.Fatal("Compact did not switch the log to compact mode")
+	first := NewRequestLog()
+	first.RecordBatch(reqs[:1000])
+	counts, total, found := first.CompactState()
+	resumed := NewRequestLog()
+	resumed.RestoreCompact(counts, total, found)
+	resumed.RecordBatch(reqs[1000:1500])
+	for _, r := range reqs[1500:] {
+		resumed.Record(r)
 	}
-	mid.RecordBatch(reqs[1000:])
-	assertSameAggregates(t, raw, mid)
+	assertMatchesFold(t, foldRequests(reqs), resumed)
+	assertMatchesFold(t, foldRequests(reqs[:1000]), first)
 }
 
 func TestCompactStateRoundTrip(t *testing.T) {
 	reqs := compactTestRequests(3, 1500, 30)
+	// raw: the source folded the raw request stream; compact: the source
+	// was itself restored from saved state and kept recording.
 	for _, mode := range []string{"raw", "compact"} {
 		t.Run(mode, func(t *testing.T) {
 			src := NewRequestLog()
 			if mode == "compact" {
-				src = NewCompactLog()
+				src = foldRequests(reqs[:700]).logFrom()
+				src.RecordBatch(reqs[700:])
+			} else {
+				src.RecordBatch(reqs)
 			}
-			src.RecordBatch(reqs)
 			counts, total, found := src.CompactState()
 			back := NewRequestLog()
+			back.Record(reqs[0]) // restore replaces, it does not add
 			back.RestoreCompact(counts, total, found)
-			assertSameAggregates(t, src, back)
-			// RestoreCompact copies: mutating the caller's map afterwards
-			// must not reach into the log.
+			ref := foldRequests(reqs)
+			assertMatchesFold(t, ref, back)
+			// Both directions copy: mutating the caller's map afterwards
+			// must reach neither log.
 			for id := range counts {
 				counts[id] += 99
 				break
 			}
-			if !reflect.DeepEqual(back.CountsByID(), src.CountsByID()) {
-				t.Fatal("RestoreCompact aliased the caller's counts map")
-			}
+			assertMatchesFold(t, ref, src)
+			assertMatchesFold(t, ref, back)
 		})
 	}
 }
 
+// TestMergeMixedCompactAndRaw folds sources built from raw records and
+// sources restored from saved state, plus the nil and self sources
+// MergeAll must skip, and checks the result against the naive fold of
+// every request involved.
 func TestMergeMixedCompactAndRaw(t *testing.T) {
-	reqs := compactTestRequests(4, 3000, 50)
-	// Reference: everything folded raw into one log.
-	ref := NewRequestLog()
-	ref.RecordBatch(reqs)
-
+	reqs := compactTestRequests(4, 4000, 50)
 	rawSrc := NewRequestLog()
 	rawSrc.RecordBatch(reqs[:1000])
-	compactSrc := NewCompactLog()
-	compactSrc.RecordBatch(reqs[1000:2000])
+	restoredSrc := foldRequests(reqs[1000:2000]).logFrom()
+	emptySrc := NewRequestLog()
 	dst := NewRequestLog()
-	dst.RecordBatch(reqs[2000:])
+	dst.RecordBatch(reqs[2000:3000])
 
-	dst.MergeAll([]*RequestLog{rawSrc, compactSrc})
-	if !dst.Compacted() {
-		t.Fatal("merging a compact source must leave the destination compact")
+	dst.MergeAll([]*RequestLog{rawSrc, nil, restoredSrc, dst, emptySrc})
+	// A second merge after more arrivals folds on top of the first.
+	for _, r := range reqs[3000:3500] {
+		dst.Record(r)
 	}
-	assertSameAggregates(t, ref, dst)
+	tail := NewRequestLog()
+	tail.RecordBatch(reqs[3500:])
+	dst.MergeAll([]*RequestLog{tail, dst})
+	dst.MergeAll(nil)
 
-	// Merge (the pairwise form) with a compact operand routes through the
-	// same counts fold.
-	dst2 := NewRequestLog()
-	dst2.RecordBatch(reqs[:2000])
-	tail := NewCompactLog()
-	tail.RecordBatch(reqs[2000:])
-	dst2.Merge(tail)
-	if !dst2.Compacted() {
-		t.Fatal("pairwise Merge with a compact source must leave the destination compact")
-	}
-	assertSameAggregates(t, ref, dst2)
+	assertMatchesFold(t, foldRequests(reqs), dst)
+	// Sources are left unchanged.
+	assertMatchesFold(t, foldRequests(reqs[:1000]), rawSrc)
+	assertMatchesFold(t, foldRequests(reqs[1000:2000]), restoredSrc)
+	assertMatchesFold(t, foldRequests(nil), emptySrc)
 }

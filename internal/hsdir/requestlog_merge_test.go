@@ -3,7 +3,6 @@ package hsdir
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"torhs/internal/onion"
 )
@@ -17,15 +16,14 @@ func idWithByte(b byte) onion.DescriptorID {
 // TestMergeBulkSemantics checks the single-lock bulk merge preserves the
 // per-record semantics: totals, per-ID counts, and the found tally.
 func TestMergeBulkSemantics(t *testing.T) {
-	at := time.Date(2013, 2, 4, 0, 0, 0, 0, time.UTC)
 	src := NewRequestLog()
 	for i := 0; i < 10; i++ {
-		src.Record(Request{At: at, DescID: idWithByte(byte(i % 3)), Found: i%2 == 0})
+		src.Record(Request{DescID: idWithByte(byte(i % 3)), Found: i%2 == 0})
 	}
 	dst := NewRequestLog()
-	dst.Record(Request{At: at, DescID: idWithByte(0), Found: true})
+	dst.Record(Request{DescID: idWithByte(0), Found: true})
 
-	dst.Merge(src)
+	dst.MergeAll([]*RequestLog{src})
 	if got := dst.Total(); got != 11 {
 		t.Fatalf("Total = %d, want 11", got)
 	}
@@ -50,9 +48,9 @@ func TestMergeBulkSemantics(t *testing.T) {
 func TestMergeSelfAndNilNoop(t *testing.T) {
 	l := NewRequestLog()
 	l.Record(Request{DescID: idWithByte(1), Found: true})
-	l.Merge(nil)
-	l.Merge(l)
-	if l.Total() != 1 || l.UniqueIDs() != 1 {
+	l.MergeAll(nil)
+	l.MergeAll([]*RequestLog{nil, l})
+	if l.Total() != 1 || l.UniqueIDs() != 1 || l.FoundFraction() != 1 {
 		t.Fatalf("self/nil merge corrupted log: total=%d unique=%d", l.Total(), l.UniqueIDs())
 	}
 }
@@ -73,7 +71,7 @@ func TestMergeConcurrent(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			dst.Merge(src)
+			dst.MergeAll([]*RequestLog{src})
 		}()
 		go func(s int) {
 			defer wg.Done()

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,6 +13,12 @@ import (
 // enough; clients that keep hitting 429 should back off exponentially
 // themselves.
 const retryAfterSeconds = 5
+
+// maxSubmitBytes bounds a POST /studies body. A valid submission is a
+// scenario name, a seed and a short experiment list — a few hundred
+// bytes — so a larger body is refused with 413 after reading at most
+// this many bytes of it.
+const maxSubmitBytes = 64 << 10
 
 // API serves the study-execution endpoints over a Manager:
 //
@@ -51,7 +58,13 @@ type SubmitResponse struct {
 
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}

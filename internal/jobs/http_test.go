@@ -106,6 +106,35 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyTooLarge413 checks an oversized POST /studies body
+// is refused with 413 before it can be buffered, and that a submission
+// just under the bound still goes through.
+func TestHTTPSubmitBodyTooLarge413(t *testing.T) {
+	_, srv := newTestAPI(t, Options{Run: blockingRun(nil, nil)})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/studies", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"scenario":"smoke","experiments":["` + strings.Repeat("x", maxSubmitBytes) + `"]}`
+	if got := post(huge); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST status = %d, want 413", got)
+	}
+	// Padding keeps a valid body just inside the bound.
+	pad := maxSubmitBytes - 64
+	fits := `{"scenario":"smoke","seed":1` + strings.Repeat(" ", pad) + `}`
+	if len(fits) > maxSubmitBytes {
+		t.Fatalf("test body is %d bytes, over the %d bound", len(fits), maxSubmitBytes)
+	}
+	if got := post(fits); got != http.StatusAccepted {
+		t.Fatalf("POST under the bound status = %d, want 202", got)
+	}
+}
+
 func TestHTTPQueueFullSheds429(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})

@@ -67,9 +67,10 @@ type Spec struct {
 	// (below-top rows still appear when labelled). 0 = the experiment
 	// default (the paper's 30).
 	PopularityTopN int
-	// Stream runs the window-consuming kernels as a streaming pipeline
-	// with a bounded sliding ring instead of materializing their full
-	// time axis. Output bytes are identical either way; only the peak
+	// Stream runs the tracking sweep as a streaming pipeline with a
+	// bounded sliding ring instead of materializing its full time axis,
+	// and sizes the population arenas from demand. Request logs are
+	// unaffected. Output bytes are identical either way; only the peak
 	// working set changes.
 	Stream bool
 }

@@ -91,11 +91,6 @@ type Config struct {
 	// index never recompute the same secret parts. Nil means the network
 	// builds a table per driven window on its own.
 	SecretTable *onion.SecretIDTable
-	// CompactLogs creates every per-directory request log in compact
-	// mode: raw requests retire into per-descriptor-ID counts on arrival
-	// (the streaming pipeline's per-window retirement). All aggregate
-	// log queries are unchanged; only raw Requests() reads become nil.
-	CompactLogs bool
 	// Scratch shares window-sized buffers with networks that publish and
 	// drive one after another (a trawl's per-step networks). Nil gives
 	// the network a scratch of its own.
@@ -154,9 +149,6 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
 	for i, fp := range n.ringFPs {
 		n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
-		if cfg.CompactLogs {
-			n.dirs[i].Log().Compact()
-		}
 	}
 	if cfg.WeightedGuards {
 		weights := make([]int, len(guards))
@@ -475,7 +467,7 @@ func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.
 	var sc fetchScratch
 	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc)
 	if rec.answered >= 0 {
-		n.dirs[rec.answered].Log().Record(hsdir.Request{At: now, DescID: rec.descID, Found: rec.found})
+		n.dirs[rec.answered].Log().Record(hsdir.Request{DescID: rec.descID, Found: rec.found})
 	}
 	return n.event(&rec)
 }
@@ -487,7 +479,7 @@ func (n *Network) FetchRawID(c *Client, descID onion.DescriptorID, now time.Time
 	var sc fetchScratch
 	rec := n.fetchByID(n.rng, c, descID, now, &sc)
 	if rec.answered >= 0 {
-		n.dirs[rec.answered].Log().Record(hsdir.Request{At: now, DescID: rec.descID, Found: rec.found})
+		n.dirs[rec.answered].Log().Record(hsdir.Request{DescID: rec.descID, Found: rec.found})
 	}
 	return n.event(&rec)
 }
@@ -783,16 +775,17 @@ func (n *Network) DriveWindow(
 		}
 	}
 
-	// Route the window's request records to the per-directory logs: the
-	// staged per-shard counts become fill cursors into one shared index
-	// arena whose directory spans are ordered shard-then-plan — which
-	// *is* plan order, so log contents are byte-identical at every
-	// worker count — then each shard writes the plan indexes of its own
-	// records into its disjoint cursor ranges in parallel. The
-	// directories then fan out: each gathers its span into its worker's
-	// batch buffer and appends it to its log in one RecordBatch. Routing
-	// through 4-byte indexes rather than a window-sized copy of the
-	// requests keeps the window's peak heap down to the records
+	// Route the window's request records to the per-directory logs,
+	// grouped by directory so the directories fold in parallel without
+	// a shared lock: the staged per-shard counts become fill cursors
+	// into one shared index arena of per-directory spans, then each
+	// shard writes the plan indexes of its own records into its disjoint
+	// cursor ranges in parallel. The directories then fan out: each
+	// gathers its span into its worker's batch buffer and folds it into
+	// its log in one RecordBatch. A log keeps per-ID counts only, so
+	// the order within a directory's span never reaches its contents.
+	// Routing through 4-byte indexes rather than a window-sized copy of
+	// the requests keeps the window's peak heap down to the records
 	// themselves plus one directory's span per worker.
 	n.scratch.offs = zeroed(n.scratch.offs, nd+1)
 	dirOffs := n.scratch.offs
@@ -817,11 +810,7 @@ func (n *Network) DriveWindow(
 			for d := lo; d < hi; d++ {
 				batch = batch[:0]
 				for _, i := range order[dirOffs[d]:dirOffs[d+1]] {
-					batch = append(batch, hsdir.Request{
-						At:     time.Unix(0, recs[i].atNanos).UTC(),
-						DescID: recs[i].descID,
-						Found:  recs[i].found,
-					})
+					batch = append(batch, hsdir.Request{DescID: recs[i].descID, Found: recs[i].found})
 				}
 				n.dirs[d].Log().RecordBatch(batch)
 			}
